@@ -9,6 +9,10 @@ through the three behaviours the serving layer must exhibit:
 3. a request while the only concurrency slot is held (typed **shed**,
    HTTP 503 with ``Retry-After``).
 
+All three travel over one persistent HTTP/1.1 connection, and the smoke
+asserts it connected once: a server that fell back to closing the
+connection after every reply fails here.
+
 The ``/metrics`` scrape is then asserted to carry the matching
 ``repro_serve_cache_hits_total`` and ``repro_serve_shed_total`` counters
 and written next to the results so CI archives a real scrape of the
@@ -24,11 +28,11 @@ Exit status 0 on success, 1 on any contract violation.
 from __future__ import annotations
 
 import argparse
+import http.client
 import json
 import sys
 import tempfile
 from pathlib import Path
-from urllib.error import HTTPError
 from urllib.request import urlopen
 
 from repro import Dataset
@@ -71,12 +75,20 @@ def build_catalog() -> Dataset:
     )
 
 
-def get_json(url: str) -> tuple[int, dict]:
-    try:
-        with urlopen(url, timeout=10) as response:
-            return response.status, json.loads(response.read())
-    except HTTPError as exc:
-        return exc.code, json.loads(exc.read())
+class CountingConnection(http.client.HTTPConnection):
+    """An HTTP/1.1 client connection that counts how often it connected."""
+
+    connects = 0
+
+    def connect(self) -> None:
+        self.connects += 1
+        super().connect()
+
+
+def get_json(conn: http.client.HTTPConnection, path: str) -> tuple[int, dict]:
+    conn.request("GET", path)
+    response = conn.getresponse()
+    return response.status, json.loads(response.read())
 
 
 def metric_value(scrape: str, name: str) -> float:
@@ -119,9 +131,10 @@ def main(argv: list[str] | None = None) -> int:
             reload_interval=0,
         )
         with start_server(service) as server:
-            url = f"{server.url}/v1/skyline?subspace=price,stops"
+            conn = CountingConnection("127.0.0.1", server.port, timeout=10)
+            url = "/v1/skyline?subspace=price,stops"
 
-            status, body = get_json(url)
+            status, body = get_json(conn, url)
             check(
                 status == 200 and body["cached"] is False,
                 f"cold query computed (cube_version {body['cube_version']})",
@@ -131,7 +144,7 @@ def main(argv: list[str] | None = None) -> int:
                 "cold query answer is the price,stops skyline",
             )
 
-            status, body = get_json(url)
+            status, body = get_json(conn, url)
             check(
                 status == 200 and body["cached"] is True,
                 "warm query served from the result cache",
@@ -140,11 +153,16 @@ def main(argv: list[str] | None = None) -> int:
             # Hold the single concurrency slot, then knock: the request
             # must be shed with a typed 503, not queued or served.
             with service.admission.admit():
-                status, body = get_json(url)
+                status, body = get_json(conn, url)
             check(
                 status == 503 and body.get("error") == "overloaded",
                 f"saturated request shed (reason {body.get('reason')!r})",
             )
+            check(
+                conn.connects == 1,
+                f"three queries over {conn.connects} connection(s), want 1",
+            )
+            conn.close()
 
             with urlopen(f"{server.url}/metrics", timeout=10) as response:
                 scrape = response.read().decode()

@@ -21,16 +21,16 @@ produce.
 
 from __future__ import annotations
 
+import http.client
 import json
 import random
+import select
 import threading
 import time
-import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
-from urllib.error import HTTPError, URLError
-from urllib.parse import urlencode
+from urllib.parse import urlencode, urlsplit
 
 from ..core.types import Dataset
 from ..obs.context import TRACEPARENT_HEADER, TraceContext, use_trace_context
@@ -236,35 +236,108 @@ class ConsistencyOracle:
 _Oracle = ConsistencyOracle
 
 
+class _KeepAlive:
+    """One persistent HTTP/1.1 connection per calling thread to one server.
+
+    A connection is reused while the server keeps it open and reopened
+    when the server has closed it (an idle timeout, a restart): before
+    each reuse a zero-wait readability check catches a connection the
+    server already closed, and a GET that still meets a dead reused
+    connection is retried once on a fresh one.  Mutations are never
+    retried -- the server may have applied one whose reply was lost.
+    """
+
+    def __init__(self, base_url: str, timeout: float):
+        parts = urlsplit(base_url)
+        self.host = parts.hostname or "127.0.0.1"
+        self.port = parts.port or 80
+        self.timeout = timeout
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._connections: list[http.client.HTTPConnection] = []
+
+    def _connection(self) -> http.client.HTTPConnection:
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = http.client.HTTPConnection(
+                self.host, self.port, timeout=self.timeout
+            )
+            self._local.conn = conn
+            with self._lock:
+                self._connections.append(conn)
+        elif conn.sock is not None and select.select([conn.sock], [], [], 0)[0]:
+            # Readable while idle: the server closed it (or sent bytes
+            # nobody asked for).  Either way, start over.
+            conn.close()
+        return conn
+
+    def request(
+        self,
+        method: str,
+        url: str,
+        body: bytes | None = None,
+        headers: dict | None = None,
+    ) -> tuple[int, bytes, dict]:
+        """One round trip; transport failures raise :class:`OSError`."""
+        parts = urlsplit(url)
+        target = parts.path or "/"
+        if parts.query:
+            target += f"?{parts.query}"
+        for attempt in (0, 1):
+            conn = self._connection()
+            reused = conn.sock is not None
+            try:
+                conn.request(method, target, body=body, headers=headers or {})
+                response = conn.getresponse()
+                data = response.read()
+            except (http.client.HTTPException, OSError) as exc:
+                conn.close()
+                retry = (
+                    not attempt
+                    and reused
+                    and method == "GET"
+                    and not isinstance(exc, TimeoutError)
+                )
+                if retry:
+                    continue
+                if isinstance(exc, OSError):
+                    raise
+                raise ConnectionError(repr(exc)) from exc
+            if response.will_close:
+                conn.close()
+            return response.status, data, dict(response.headers)
+        raise AssertionError("unreachable")
+
+    def close(self) -> None:
+        """Close every thread's connection (call once the threads are done)."""
+        with self._lock:
+            connections, self._connections = self._connections, []
+        for conn in connections:
+            conn.close()
+
+
 def _http_json(
+    client: _KeepAlive,
     url: str,
     body: dict | None = None,
-    timeout: float = 30.0,
     headers: dict | None = None,
 ) -> tuple[int, dict, dict]:
     """One JSON request; HTTP errors come back as (status, payload, headers)."""
     request_headers = dict(headers or {})
-    if body is None:
-        request = urllib.request.Request(url, headers=request_headers)
-    else:
+    data = None
+    if body is not None:
         request_headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            url,
-            data=json.dumps(body).encode(),
-            headers=request_headers,
-        )
+        data = json.dumps(body).encode()
+    status, raw, response_headers = client.request(
+        "GET" if body is None else "POST", url, data, request_headers
+    )
     try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            return (
-                response.status,
-                json.loads(response.read()),
-                dict(response.headers),
-            )
-    except HTTPError as exc:
-        try:
-            return exc.code, json.loads(exc.read()), dict(exc.headers or {})
-        except (ValueError, json.JSONDecodeError):
-            return exc.code, {}, dict(exc.headers or {})
+        payload = json.loads(raw)
+    except ValueError:
+        if status < 400:
+            raise
+        payload = {}
+    return status, payload, response_headers
 
 
 class _Runner:
@@ -283,6 +356,8 @@ class _Runner:
         #: Kills and restarts the server behind ``base_url`` (durability
         #: drill); invoked every ``restart_interval`` seconds when set.
         self.restart = restart
+        #: Each issuing thread's persistent connection to the server.
+        self.http = _KeepAlive(self.base_url, config.http_timeout)
         self.mix = WorkloadMix(dataset, zipf_s=config.zipf_s)
         self.records: list[RequestRecord] = []
         self._records_lock = threading.Lock()
@@ -355,9 +430,9 @@ class _Runner:
         with use_trace_context(ctx):
             with tracer.span("client.request", endpoint=endpoint) as root:
                 status, payload, _ = _http_json(
+                    self.http,
                     url,
                     body,
-                    timeout=self.config.http_timeout,
                     headers={
                         TRACEPARENT_HEADER: ctx.child(
                             root.span_id
@@ -388,15 +463,15 @@ class _Runner:
                 sent = time.perf_counter()
                 try:
                     status, payload, _ = _http_json(
+                        self.http,
                         url,
-                        timeout=self.config.http_timeout,
                         headers={
                             TRACEPARENT_HEADER: ctx.child(
                                 client_span.span_id
                             ).to_traceparent()
                         },
                     )
-                except (URLError, OSError, ValueError) as exc:
+                except (OSError, ValueError) as exc:
                     error = repr(exc)
                 done = time.perf_counter()
         record = RequestRecord(
@@ -519,7 +594,7 @@ class _Runner:
                         else:
                             self.churn_errors.append(f"delete {status}: {ack}")
                         pending_delete = None
-                except (URLError, OSError) as exc:
+                except OSError as exc:
                     self.churn_errors.append(repr(exc))
             if (
                 self.config.publish_interval
@@ -533,7 +608,7 @@ class _Runner:
                     # churn cycle starts a fresh insert/delete pair.
                     pending_delete = None
                     last_publish = time.perf_counter()
-                except (RuntimeError, URLError, OSError) as exc:
+                except (RuntimeError, OSError) as exc:
                     self.churn_errors.append(repr(exc))
 
     # -- kill-and-restart durability drill ---------------------------------
@@ -569,7 +644,7 @@ class _Runner:
         url = f"{self.base_url}/v1/skyline?{urlencode(params)}"
         try:
             status, payload = self._traced_http("/v1/skyline", url)
-        except (URLError, OSError) as exc:
+        except OSError as exc:
             self.churn_errors.append(f"durability probe: {exc!r}")
             return
         if status != 200:
@@ -630,12 +705,13 @@ class _Runner:
         than measured from the client side.
         """
         try:
-            request = urllib.request.Request(f"{self.base_url}/metrics")
-            with urllib.request.urlopen(
-                request, timeout=self.config.http_timeout
-            ) as response:
-                scrape = response.read().decode()
-        except (URLError, OSError, ValueError):
+            status, raw, _ = self.http.request(
+                "GET", f"{self.base_url}/metrics"
+            )
+            scrape = raw.decode()
+        except (OSError, ValueError):
+            return None
+        if status != 200:
             return None
         prefix = "repro_serve_snapshot_activate_seconds"
         buckets: list[tuple[float, int]] = []
@@ -680,9 +756,9 @@ class _Runner:
         """The served cube's group count (feeds the capacity model)."""
         try:
             status, payload, _ = _http_json(
-                f"{self.base_url}/v1/snapshots", timeout=self.config.http_timeout
+                self.http, f"{self.base_url}/v1/snapshots"
             )
-        except (URLError, OSError):
+        except (OSError, ValueError):
             return None
         if status != 200:
             return None
@@ -812,4 +888,7 @@ def run_loadtest(
     runner = _Runner(
         base_url, dataset, config or LoadtestConfig(), csv_text, restart=restart
     )
-    return runner.run()
+    try:
+        return runner.run()
+    finally:
+        runner.http.close()

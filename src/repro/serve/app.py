@@ -14,7 +14,8 @@ production-shaped unit:
   first: bounded concurrency, bounded queueing, typed shedding.
 
 The HTTP layer is a thin JSON façade over the service on the stdlib
-:class:`~http.server.ThreadingHTTPServer` (no third-party dependency):
+:class:`~http.server.ThreadingHTTPServer` (no third-party dependency),
+speaking HTTP/1.1 with persistent connections:
 ``/v1/skyline``, ``/v1/where-wins``, ``/v1/wins-in``, ``/v1/why-not``,
 ``/v1/signature``, ``/v1/top-frequent``, ``/v1/explain``, ``/v1/diff``
 (temporal cube diff across published versions), ``/v1/snapshots``
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import json
 import re
+import socket
 import tempfile
 import threading
 import time
@@ -282,6 +284,11 @@ class CubeService:
         #: name -> open appender over that snapshot's *active* segment;
         #: rotated when the base version moves, mutated under the name lock.
         self._wals: dict[str, WalWriter] = {}
+        #: The store's snapshot names as last listed, when, and a counter
+        #: bumped on every local publish/activate (see _published_names).
+        self._names: tuple[str, ...] | None = None
+        self._names_checked = 0.0
+        self._names_epoch = 0
 
     # -- queries -----------------------------------------------------------
 
@@ -623,6 +630,7 @@ class CubeService:
         info = self.store.publish(
             name, dataset, cube, algorithm=algorithm, activate=activate
         )
+        self._forget_names()
         if activate:
             self._force_reload(name)
         return {**info.to_dict(), "active": activate}
@@ -630,6 +638,7 @@ class CubeService:
     def activate(self, name: str, version: str) -> dict:
         """Activate a published version; live traffic swaps to it."""
         self.store.activate(name, version)
+        self._forget_names()
         self._force_reload(name)
         return {"snapshot": name, "version": version, "active": True}
 
@@ -727,7 +736,7 @@ class CubeService:
             return snapshot
         if self.default_snapshot:
             return self.default_snapshot
-        names = self.store.names()
+        names = self._published_names()
         if len(names) == 1:
             return names[0]
         if not names:
@@ -736,6 +745,31 @@ class CubeService:
             "ambiguous request: pass snapshot=<name> "
             f"(published: {', '.join(names)})"
         )
+
+    def _published_names(self) -> tuple[str, ...]:
+        """The store's snapshot names, listed at most every
+        ``reload_interval`` seconds (the bound ``CURRENT`` checks have).
+
+        A publish or activate through this service drops the list at
+        once; one by another process shows within the interval.  A
+        listing that raced with such a drop is used but not kept.
+        """
+        with self._lock:
+            names, checked = self._names, self._names_checked
+            epoch = self._names_epoch
+        now = time.monotonic()
+        if names is not None and now - checked < self.reload_interval:
+            return names
+        names = tuple(self.store.names())
+        with self._lock:
+            if self._names_epoch == epoch:
+                self._names, self._names_checked = names, now
+        return names
+
+    def _forget_names(self) -> None:
+        with self._lock:
+            self._names = None
+            self._names_epoch += 1
 
     def _name_lock(self, name: str) -> threading.RLock:
         with self._lock:
@@ -1027,11 +1061,31 @@ class CubeService:
         raise UnknownSnapshotError(f"no such endpoint: {method} {path}")
 
 
+#: Largest request body accepted (a published CSV travels in one); a
+#: longer ``Content-Length`` is refused with 413 before any byte is read.
+MAX_BODY_BYTES = 32 * 1024 * 1024
+
+#: Seconds a persistent connection may sit idle (or stall mid-request)
+#: before the server closes it and frees its thread.
+IDLE_TIMEOUT_SECONDS = 30.0
+
+
 class _ServeHandler(BaseHTTPRequestHandler):
-    """JSON-over-HTTP façade; one instance per request (stdlib behavior)."""
+    """JSON-over-HTTP façade; one instance per connection.
+
+    HTTP/1.1 keeps the connection open across requests (an HTTP/1.0
+    request or ``Connection: close`` still closes it after the reply).
+    Nagle is off and ``wfile`` is buffered, so each response leaves in
+    one write when ``handle_one_request`` flushes it: headers and body
+    sent as two small segments would stall on Nagle plus delayed ACK.
+    """
 
     service: CubeService  # injected via type() in start_server
     server_version = "repro-serve/1"
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    wbufsize = -1
+    timeout = IDLE_TIMEOUT_SECONDS
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         parts = urlsplit(self.path)
@@ -1048,8 +1102,10 @@ class _ServeHandler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         parts = urlsplit(self.path)
+        length = self._body_length()
+        if length is None:
+            return
         try:
-            length = int(self.headers.get("Content-Length", "0"))
             body = json.loads(self.rfile.read(length) or b"{}")
             if not isinstance(body, dict):
                 raise ValueError("request body must be a JSON object")
@@ -1062,6 +1118,34 @@ class _ServeHandler(BaseHTTPRequestHandler):
             "POST", parts.path, parse_qs(parts.query), body, self.headers
         )
         self._reply_json(status, payload, headers)
+
+    def _body_length(self) -> int | None:
+        """The request body's length, or None after refusing the request.
+
+        A refused body is never read, so the reply closes the connection:
+        its unread bytes must not be parsed as the next request.
+        """
+        if self.headers.get("Transfer-Encoding"):
+            status, detail = 400, "chunked request bodies are not supported"
+        else:
+            raw = self.headers.get("Content-Length", "0")
+            try:
+                length = int(raw)
+            except ValueError:
+                length = -1
+            if 0 <= length <= MAX_BODY_BYTES:
+                return length
+            if length < 0:
+                status, detail = 400, f"bad Content-Length {raw!r}"
+            else:
+                status, detail = 413, (
+                    f"request body of {length} bytes exceeds the "
+                    f"{MAX_BODY_BYTES}-byte limit"
+                )
+        error = "bad_request" if status == 400 else "payload_too_large"
+        self.close_connection = True
+        self._reply_json(status, {"error": error, "detail": detail}, {})
+        return None
 
     def _reply_json(self, status: int, payload: dict, headers: dict) -> None:
         self._reply_raw(
@@ -1084,12 +1168,53 @@ class _ServeHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for key, value in (headers or {}).items():
             self.send_header(key, value)
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
     def log_message(self, format: str, *args: object) -> None:
         """Route access logs through the structured logger, not stderr."""
         get_logger("serve.http").debug(format % args)
+
+
+class _ServeHTTPServer(ThreadingHTTPServer):
+    """A thread per connection; closing the server ends idle connections.
+
+    ``server_close`` shuts the read side of every open connection: an
+    idle one sees end-of-stream and closes, while a request in progress
+    still writes its reply.  Without it a client's persistent connection
+    would keep reaching a server that was closed.
+    """
+
+    daemon_threads = True
+
+    def __init__(self, *args, **kwargs) -> None:
+        self._open: set[socket.socket] = set()
+        self._open_lock = threading.Lock()
+        super().__init__(*args, **kwargs)
+
+    def process_request(self, request, client_address) -> None:
+        # Runs on the accept thread, so every connection accepted before
+        # ``shutdown`` returns is registered before ``server_close``.
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._open_lock:
+            connections = list(self._open)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RD)
+            except OSError:  # closed meanwhile
+                pass
 
 
 def start_server(
@@ -1102,8 +1227,7 @@ def start_server(
     ephemeral port.
     """
     handler = type("BoundServeHandler", (_ServeHandler,), {"service": service})
-    server = ThreadingHTTPServer((host, port), handler)
-    server.daemon_threads = True
+    server = _ServeHTTPServer((host, port), handler)
     thread = threading.Thread(
         target=server.serve_forever, name="repro-serve", daemon=True
     )

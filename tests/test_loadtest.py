@@ -11,6 +11,7 @@ relies on.
 import json
 import random
 import threading
+import time
 
 import pytest
 
@@ -26,7 +27,7 @@ from repro.loadtest import (
     summarize,
     zipf_weights,
 )
-from repro.loadtest.runner import _Oracle, _Runner
+from repro.loadtest.runner import _http_json, _KeepAlive, _Oracle, _Runner
 from repro.serve import CubeService, SnapshotStore, start_server
 
 
@@ -328,6 +329,69 @@ class TestEndToEnd:
         assert result.consistency["verified"] == 0
         assert result.consistency["violations"] == []
         assert result.consistency["unverified_versions"]
+
+
+class TestKeepAliveClient:
+    """The harness measures the server, not its own connects."""
+
+    def test_one_connection_per_thread_reconnects_when_closed(
+        self, tmp_path, flight_routes
+    ):
+        from repro.cube import CompressedSkylineCube
+
+        store = SnapshotStore(tmp_path / "snapshots")
+        store.publish(
+            "routes", flight_routes, CompressedSkylineCube.build(flight_routes)
+        )
+        service = CubeService(store, reload_interval=0)
+        server = start_server(service)
+        client = _KeepAlive(server.url, timeout=10)
+        url = f"{server.url}/v1/skyline?subspace=price"
+        try:
+            sockets = set()
+            for _ in range(5):
+                status, payload, _ = _http_json(client, url)
+                assert status == 200 and payload["snapshot"] == "routes"
+                sockets.add(id(client._connections[0].sock))
+            assert len(sockets) == 1
+
+            # Restart on the same port: the next read reconnects.
+            port = server.port
+            server.close()
+            server = start_server(service, port=port)
+            server._server.RequestHandlerClass.timeout = 0.1
+            status, _, _ = _http_json(client, url)
+            assert status == 200
+
+            # The idle timeout closes the connection; a mutation (never
+            # retried) must notice before sending and open a fresh one.
+            time.sleep(0.5)
+            status, payload, _ = _http_json(
+                client,
+                f"{server.url}/v1/maintenance/insert",
+                {"row": [100.0, 5.0, 0.0], "label": "CHEAP"},
+            )
+            assert status == 200
+            assert payload["cube_version"] == "routes@v000001+1"
+
+            # Every calling thread gets its own connection.
+            errors = []
+
+            def read():
+                try:
+                    assert _http_json(client, url)[0] == 200
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    errors.append(repr(exc))
+
+            thread = threading.Thread(target=read)
+            thread.start()
+            thread.join(timeout=10)
+            assert not errors and not thread.is_alive()
+            assert len(client._connections) == 2
+        finally:
+            client.close()
+            server.close()
+            service.close()
 
 
 class TestLoadtestCLI:

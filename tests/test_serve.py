@@ -8,7 +8,9 @@ importantly -- concurrent serving: responses must never mix cube versions
 while mutations and snapshot swaps land under load.
 """
 
+import http.client
 import json
+import socket
 import subprocess
 import sys
 import threading
@@ -30,6 +32,7 @@ from repro.serve import (
     UnknownSnapshotError,
     start_server,
 )
+from repro.serve.app import MAX_BODY_BYTES
 
 
 @pytest.fixture
@@ -556,6 +559,245 @@ class TestHTTPServer:
             with pytest.raises(HTTPError) as exc:
                 urllib.request.urlopen(request, timeout=10)
             assert exc.value.code == 400
+
+
+def raw_exchange(server, request: bytes, timeout: float = 5.0):
+    """Send raw bytes; return (everything read until EOF, seconds to EOF).
+
+    Raises ``socket.timeout`` when the server keeps the connection open
+    past ``timeout``.
+    """
+    with socket.create_connection(("127.0.0.1", server.port), timeout=timeout) as sock:
+        t0 = time.perf_counter()
+        sock.sendall(request)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks), time.perf_counter() - t0
+            chunks.append(chunk)
+
+
+class TestPersistentConnections:
+    def test_one_connection_answers_every_request(self, published):
+        """Keep-alive regression guard, including the Nagle stall.
+
+        Headers and body sent as separate small segments without
+        TCP_NODELAY stall ~40 ms per request on Nagle plus delayed ACK;
+        50 reads on one connection must stay far below 50 x 40 ms.
+        """
+        service = CubeService(published[0], reload_interval=0)
+        with start_server(service) as server:
+            conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+            try:
+                sockets = set()
+
+                def call(method, path, body=None):
+                    headers = {"Content-Type": "application/json"} if body else {}
+                    conn.request(method, path, body=body, headers=headers)
+                    response = conn.getresponse()
+                    payload = json.loads(response.read())
+                    assert not response.will_close
+                    sockets.add(id(conn.sock))
+                    return response.status, payload
+
+                # Reads only: the inserts' WAL fsync is the disk's time.
+                read_seconds = 0.0
+                for i in range(50):
+                    subspace = ("price", "price,stops", "traveltime")[i % 3]
+                    t0 = time.perf_counter()
+                    status, _ = call("GET", f"/v1/skyline?subspace={subspace}")
+                    read_seconds += time.perf_counter() - t0
+                    assert status == 200
+                    if i == 20:
+                        status, body = call(
+                            "POST",
+                            "/v1/maintenance/insert",
+                            json.dumps({"row": [100.0, 5.0, 0.0], "label": "CHEAP"}),
+                        )
+                        assert (status, body["cube_version"]) == (
+                            200,
+                            "routes@v000001+1",
+                        )
+                    if i == 30:
+                        status, body = call("POST", "/v1/maintenance/insert", "not json {{{")
+                        assert (status, body["error"]) == (400, "bad_request")
+                    if i == 40:
+                        status, body = call(
+                            "POST", "/v1/maintenance/delete", json.dumps({"label": "CHEAP"})
+                        )
+                        assert (status, body["cube_version"]) == (
+                            200,
+                            "routes@v000001+2",
+                        )
+            finally:
+                conn.close()
+        assert len(sockets) == 1
+        assert read_seconds < 50 * 0.040 / 2, f"50 reads took {read_seconds:.3f} s"
+
+    @pytest.mark.parametrize(
+        "request_line",
+        [
+            b"GET /healthz HTTP/1.0\r\n\r\n",
+            b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+        ],
+        ids=["http-1.0", "connection-close"],
+    )
+    def test_close_requested_closes_after_reply(self, published, request_line):
+        service = CubeService(published[0], reload_interval=0)
+        with start_server(service) as server:
+            reply, _ = raw_exchange(server, request_line)
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200")
+        assert b"connection: close" in head.lower()
+        assert json.loads(body)["status"] == "ok"
+
+    @pytest.mark.parametrize(
+        "header,status,error",
+        [
+            (b"Content-Length: -1", 400, "bad_request"),
+            (b"Content-Length: abc", 400, "bad_request"),
+            (b"Content-Length: ", 400, "bad_request"),
+            (b"Transfer-Encoding: chunked", 400, "bad_request"),
+            (b"Content-Length: %d" % (MAX_BODY_BYTES + 1), 413, "payload_too_large"),
+        ],
+    )
+    def test_refused_body_is_answered_and_closes(
+        self, published, header, status, error
+    ):
+        service = CubeService(published[0], reload_interval=0)
+        with start_server(service) as server:
+            reply, _ = raw_exchange(
+                server,
+                b"POST /v1/snapshots/publish HTTP/1.1\r\nHost: x\r\n"
+                + header
+                + b"\r\n\r\n",
+            )
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 %d" % status)
+        assert b"connection: close" in head.lower()
+        assert json.loads(body)["error"] == error
+
+    def test_idle_connection_is_closed(self, published):
+        service = CubeService(published[0], reload_interval=0)
+        with start_server(service) as server:
+            # The handler class start_server bound to this service only.
+            server._server.RequestHandlerClass.timeout = 0.2
+            reply, seconds = raw_exchange(
+                server, b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+            )
+        assert reply.startswith(b"HTTP/1.1 200")
+        assert b"connection: close" not in reply.lower()
+        assert 0.2 <= seconds < 5.0
+
+    def test_closing_the_server_ends_idle_connections(self, published):
+        service = CubeService(published[0], reload_interval=0)
+        server = start_server(service)
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=5)
+        try:
+            conn.request("GET", "/healthz")
+            assert conn.getresponse().read()
+            server.close()
+            conn.sock.settimeout(5)
+            assert conn.sock.recv(1) == b""
+        finally:
+            conn.close()
+            server.close()
+
+
+class TestNameResolution:
+    def test_local_publish_is_seen_by_the_next_query(self, published, tmp_path):
+        store, dataset, _, _ = published
+        from repro.data import save_csv
+
+        csv_path = tmp_path / "routes.csv"
+        save_csv(dataset, csv_path)
+        # A long interval: only the local publish can make the name visible.
+        service = CubeService(store, reload_interval=60)
+        with start_server(service) as server:
+            url = f"{server.url}/v1/skyline?subspace=price"
+            status, body = http_get(url)
+            assert (status, body["snapshot"]) == (200, "routes")
+            status, _ = http_post(
+                f"{server.url}/v1/snapshots/publish",
+                {"name": "other", "csv": csv_path.read_text()},
+            )
+            assert status == 200
+            status, body = http_get(url)
+        assert status == 400
+        assert "ambiguous request" in body["detail"]
+
+    def test_names_listed_once_per_reload_interval(self, published, monkeypatch):
+        store = published[0]
+        calls = []
+        names = store.names
+        monkeypatch.setattr(store, "names", lambda: calls.append(1) or names())
+        service = CubeService(store, reload_interval=60)
+        for _ in range(20):
+            service.query("skyline", {"subspace": "price"})
+        assert len(calls) == 1
+
+    def test_no_stale_name_list_survives_a_concurrent_publish(
+        self, published, tmp_path
+    ):
+        """A listing that raced with a local publish must not be kept."""
+        store, dataset, _, _ = published
+        from repro.data import save_csv
+
+        csv_path = tmp_path / "routes.csv"
+        save_csv(dataset, csv_path)
+        csv_text = csv_path.read_text()
+        service = CubeService(store, reload_interval=60)
+        # Names published so far; a query that starts after a publish
+        # returned must list that name.
+        done: list[str] = []
+        stop = threading.Event()
+        stale = []
+        errors = []
+
+        def reader():
+            while not stop.is_set():
+                must_list = done[-1] if done else None
+                try:
+                    service.query("skyline", {"subspace": "price"})
+                except ValueError as exc:
+                    if must_list and must_list not in str(exc):
+                        stale.append((must_list, str(exc)))
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    errors.append(repr(exc))
+                    return
+                else:
+                    if must_list:
+                        stale.append((must_list, "single-name answer"))
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        threads = [threading.Thread(target=reader) for _ in range(8)]
+        try:
+            for thread in threads:
+                thread.start()
+            for i in range(20):
+                service.publish_csv(f"n{i:02d}", csv_text)
+                done.append(f"n{i:02d}")
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=10)
+            sys.setswitchinterval(old_interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert not stale, stale[:3]
+
+    def test_other_process_publish_visible_within_interval(self, published):
+        store, dataset, cube, _ = published
+        interval = 0.2
+        service = CubeService(store, reload_interval=interval)
+        assert service.query("skyline", {"subspace": "price"})["snapshot"] == "routes"
+        # A second store object on the same root stands in for another process.
+        SnapshotStore(store.root).publish("other", dataset, cube)
+        time.sleep(interval * 1.5)
+        with pytest.raises(ValueError, match="ambiguous request"):
+            service.query("skyline", {"subspace": "price"})
 
 
 class TestConcurrentServing:
