@@ -1,9 +1,14 @@
 """Kernel-equivalence gate: rows vs columnar must be bit-identical.
 
-Runs the pinned Figure-8 workload (NBA-like, 300 players, 6 dims, seed
-20070415) through every engine x execution combination -- ``rows`` and
-``columnar``, serial and on a process pool -- and fails unless all four
-compressed cubes are identical field for field.  Then serves every
+Runs three pinned workloads through every engine x execution combination
+-- ``rows`` and ``columnar``, serial and on a process pool -- and fails
+unless, per workload, all four compressed cubes are identical field for
+field.  The workloads are the Figure-8 smoke data (NBA-like, 300 players,
+6 dims, seed 20070415), where Stellar's later phases do little, plus the
+two regimes its coincidence kernels serve: a seeded anti-correlated
+3000 x 4 set (a ~1,000-seed skyline) and an anti-correlated 2000 x 4 set
+on a one-decimal grid (value coincidences everywhere: 218 seeds form 580
+maximal c-groups).  Then, on the Figure-8 data, it serves every
 non-empty subspace (all ``2^d - 1`` of them) through ``QueryEngine`` under
 both engines and fails on any difference in results *or* plan counters
 (the observability contract is part of the output).  Finally it
@@ -41,12 +46,19 @@ from repro.core.stellar import stellar
 from repro.cube.compressed import CompressedSkylineCube
 from repro.cube.io import load_snapshot_binary, save_snapshot_binary
 from repro.cube.query import QueryEngine
+from repro.data.generators import make_dataset
 from repro.data.nba import generate_nba_like
 
 #: Pinned Figure-8 workload (see src/repro/bench/figures.py, smoke scale).
 SEED = 20070415
 PLAYERS = 300
 DIMS = 6
+
+#: Further Stellar-matrix workloads: (name, distribution, n, d, seed, digits).
+STELLAR_WORKLOADS = (
+    ("anticorrelated-3000x4", "anticorrelated", 3000, 4, 2007, 4),
+    ("coarse-grid-2000x4", "anticorrelated", 2000, 4, 2007, 1),
+)
 
 FIXTURE = "fig8_smoke.bin"
 REPORT = "kernel_equivalence_report.json"
@@ -60,7 +72,7 @@ def _fingerprint(groups) -> list[tuple]:
     ]
 
 
-def _check_stellar_matrix(data, workers: int, report: dict) -> None:
+def _check_stellar_matrix(name: str, data, workers: int, report: dict) -> None:
     """Stellar under engine x parallel; all fingerprints must agree."""
     spec = f"process:{workers}"
     runs: dict[str, list[tuple]] = {}
@@ -69,14 +81,14 @@ def _check_stellar_matrix(data, workers: int, report: dict) -> None:
             result = stellar(data, parallel=parallel, engine=engine)
             runs[f"{engine}/{parallel}"] = _fingerprint(result.groups)
     reference_name, reference = next(iter(runs.items()))
-    report["stellar_runs"] = {
-        name: {"groups": len(fp), "identical": fp == reference}
-        for name, fp in runs.items()
+    report["stellar_runs"][name] = {
+        run: {"groups": len(fp), "identical": fp == reference}
+        for run, fp in runs.items()
     }
-    for name, fp in runs.items():
+    for run, fp in runs.items():
         if fp != reference:
             report["failures"].append(
-                f"stellar divergence: {name} != {reference_name} "
+                f"stellar divergence on {name}: {run} != {reference_name} "
                 f"({len(fp)} vs {len(reference)} groups)"
             )
 
@@ -149,9 +161,13 @@ def run_checks(out: Path, workers: int) -> dict:
     data = generate_nba_like(n_players=PLAYERS, seed=SEED).prefix_dims(DIMS)
     report: dict = {
         "workload": {"players": PLAYERS, "dims": DIMS, "seed": SEED},
+        "stellar_runs": {},
         "failures": [],
     }
-    _check_stellar_matrix(data, workers, report)
+    _check_stellar_matrix("fig8-smoke", data, workers, report)
+    for name, distribution, n, d, seed, digits in STELLAR_WORKLOADS:
+        extra = make_dataset(distribution, n, d, seed=seed, digits=digits)
+        _check_stellar_matrix(name, extra, workers, report)
     cube = CompressedSkylineCube(data, stellar(data, engine="rows").groups)
     _check_queries(data, cube, report)
     _check_binary_roundtrip(data, cube, out, report)
@@ -217,7 +233,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"FAIL: {failure}", file=sys.stderr)
         return 1
     print(
-        f"kernel equivalence OK: stellar engine x parallel matrix identical, "
+        f"kernel equivalence OK: stellar engine x parallel matrix identical "
+        f"on {len(report['stellar_runs'])} workloads, "
         f"{report['queries_checked']} queries identical across engines, "
         f"binary round-trip faithful, corruption rejected"
     )

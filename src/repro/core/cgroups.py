@@ -31,11 +31,25 @@ extension" rule makes each closed group reachable by exactly one canonical
 path (its non-forced members added in increasing index order), so no
 duplicate suppression table is needed; a defensive assertion in the tests
 checks uniqueness anyway.
+
+Every step reads only the root's *coincident neighbours* -- the seeds ``o``
+with ``co[u, o] ≠ ∅`` (:meth:`PairwiseMatrices.coincident_neighbours`).
+Forced seeds, tail candidates and child tails all coincide with ``u`` on a
+non-empty subspace, so no other seed can take part in ``u``'s branch.
+
+The line-32 prune is decided *before* descending.  A forced seed of child
+``(G ∪ {o}, B')`` lies outside the child's tail exactly when it precedes
+``o`` and is not in ``G``: every later neighbour that covers ``B'`` is in
+the tail.  Each node therefore carries the set of masks ``co[u, w]`` of the
+neighbours ``w ∉ G`` that precede the current extension (the earlier roots'
+seeds and the candidates passed over on the path), and a child is pruned
+when one of those masks covers its subspace.  Masks are few (at most one
+per subset of dimensions), so the test is cheap, and a pruned child costs
+no tail or closure scan; the search does work in proportion to the groups
+it emits and the coincidences that exist, not to the ``k``-wide matrix row.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from ..core.dominance import PairwiseMatrices
 
@@ -64,50 +78,42 @@ def enumerate_maximal_cgroups(
         return []
     out: list[tuple[tuple[int, ...], int]] = []
     for u in range(k):
-        co_arr = matrices.eq_row_array(u)
-        co_row = [int(x) for x in co_arr]
-        tail = [o for o in range(u + 1, k) if co_row[o] & full]
-        _search(u, co_row, co_arr, frozenset([u]), tail, full, out)
+        co = matrices.coincident_neighbours(u)
+        blocked = {mask for o, mask in co.items() if o < u}
+        if full in blocked:
+            # Line 32 at the root: u's closure takes an earlier duplicate,
+            # whose own branch emits the group.
+            continue
+        _search(co, frozenset([u]), [o for o in co if o > u], full, blocked, out)
     return out
 
 
 def _search(
-    u: int,
-    co_row: list[int],
-    co_arr: np.ndarray,
+    co: dict[int, int],
     group: frozenset[int],
     tail: list[int],
     subspace: int,
+    blocked: set[int],
     out: list[tuple[tuple[int, ...], int]],
 ) -> None:
     # Closure (line 31): seeds coinciding with u on all of `subspace` are
     # forced into the group.  Coincidence with the branch root u on B means
-    # coincidence with every member (they all carry u's values on B).
-    forced = [
-        int(o)
-        for o in np.flatnonzero((co_arr & subspace) == subspace)
-        if o not in group
-    ]
+    # coincidence with every member (they all carry u's values on B).  The
+    # caller ruled out forced seeds outside the tail (line 32).
+    forced = {o for o in tail if co[o] & subspace == subspace}
     if forced:
-        tail_set = set(tail)
-        if any(o not in tail_set for o in forced):
-            # Line 32: a forced seed was skipped earlier on this path or
-            # belongs to an earlier branch root; the canonical path to this
-            # closed group runs elsewhere.
-            return
-        group = group | frozenset(forced)
-        forced_set = set(forced)
-        tail = [o for o in tail if o not in forced_set]
+        group = group | forced
+        tail = [o for o in tail if o not in forced]
 
     out.append((tuple(sorted(group)), subspace))
 
+    blocked = set(blocked)
     for j, o in enumerate(tail):
-        child_subspace = co_row[o] & subspace
-        if child_subspace == 0:
-            continue
-        child_tail = [
-            w for w in tail[j + 1 :] if co_row[w] & child_subspace
-        ]
-        _search(
-            u, co_row, co_arr, group | {o}, child_tail, child_subspace, out
-        )
+        child_subspace = co[o] & subspace
+        if child_subspace and not any(
+            mask & child_subspace == child_subspace for mask in blocked
+        ):
+            child_tail = [w for w in tail[j + 1 :] if co[w] & child_subspace]
+            _search(co, group | {o}, child_tail, child_subspace, blocked, out)
+        # o now precedes every later extension without joining the group.
+        blocked.add(co[o])

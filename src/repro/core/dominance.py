@@ -9,12 +9,16 @@ and notes (Property 1) that the coincidence matrix is redundant:
 ``co[o, o'] = D - dom[o, o'] - dom[o', o]``.  We follow the paper and store
 only dominance rows; coincidence cells are derived on demand.
 
-Cells are dimension bitmasks (see :mod:`repro.core.bitset`).  Rows are
-computed with one vectorised numpy comparison per seed and cached, which is
-what makes Stellar's "scan a row of the dominance matrix" step cheap even
-with thousands of seeds.
+Cells are dimension bitmasks (see :mod:`repro.core.bitset`).  Dominance
+rows are computed with one vectorised numpy comparison per seed and cached,
+which is what makes Stellar's "scan a row of the dominance matrix" step
+cheap even with thousands of seeds.  Coincidence rows are not kept: value
+coincidences are sparse wherever the skyline is large, so Stellar reads
+each seed's *coincident neighbours* from per-column sorted runs instead
+(:meth:`PairwiseMatrices.coincident_neighbours`), in time proportional to
+the coincidences that exist rather than to ``k``.
 
-Under ``engine="columnar"`` the row broadcasts run over the dense-rank
+Under ``engine="columnar"`` the row comparisons run over the dense-rank
 int codes of :mod:`repro.columnar.encoding` instead of the float matrix;
 the encoding preserves ``<`` and ``==`` per column exactly, so every mask
 (and every comparison count) is bit-identical to the rows engine.
@@ -138,7 +142,11 @@ class PairwiseMatrices:
 
     The class vectorises one full matrix row per call: computing
     ``dom[i, *]`` is a single ``(k, d)`` numpy comparison packed into ``k``
-    bitmask integers, cached afterwards.
+    bitmask integers, cached afterwards.  Coincidence rows are derived on
+    demand and never cached (``k`` of them would hold ``k^2`` words); each
+    row's ``k`` logical tests are counted once, the first time the row is
+    derived in either form, so :data:`COMPARISONS` totals do not depend on
+    which form a caller reads.
     """
 
     def __init__(
@@ -168,7 +176,10 @@ class PairwiseMatrices:
                 [1 << d for d in range(self._n_dims)], dtype=object
             )
         self._dom_rows: dict[int, np.ndarray] = {}
-        self._eq_rows: dict[int, np.ndarray] = {}
+        # Coincidence rows whose k tests are already counted.
+        self._eq_counted = np.zeros(len(self.indices), dtype=bool)
+        self._run_order, self._run_lo, self._run_hi = _equal_value_runs(self._sub)
+        self._has_neighbours = ((self._run_hi - self._run_lo) > 1).any(axis=0)
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -199,14 +210,40 @@ class PairwiseMatrices:
         return row
 
     def eq_row_array(self, i: int) -> np.ndarray:
-        """Row ``co[i, *]`` as a packed numpy vector (local index ``i``)."""
-        row = self._eq_rows.get(i)
-        if row is None:
+        """Row ``co[i, *]`` as a packed numpy vector (local index ``i``).
+
+        Computed afresh on every call; nothing is cached.
+        """
+        self._count_eq_row(i)
+        cmp = (self._sub[i] == self._sub).astype(self._pow2.dtype)
+        return cmp @ self._pow2
+
+    def coincident_neighbours(self, i: int) -> dict[int, int]:
+        """The non-zero cells of row ``co[i, *]`` other than ``co[i, i]``.
+
+        Maps each seed ``o != i`` that coincides with seed ``i`` on at least
+        one dimension to ``co[i, o]``, as Python ints, in ascending ``o``
+        order.  Read from per-column runs of equal values, so the cost is
+        ``O(d)`` plus the number of coincidences, not ``O(k)``.
+        """
+        self._count_eq_row(i)
+        if not self._has_neighbours[i]:
+            return {}
+        masks: dict[int, int] = {}
+        lows = self._run_lo[:, i].tolist()
+        highs = self._run_hi[:, i].tolist()
+        for dim, (lo, hi) in enumerate(zip(lows, highs)):
+            if hi - lo > 1:
+                bit = 1 << dim
+                for o in self._run_order[dim, lo:hi].tolist():
+                    masks[o] = masks.get(o, 0) | bit
+        del masks[i]
+        return {o: masks[o] for o in sorted(masks)}
+
+    def _count_eq_row(self, i: int) -> None:
+        if not self._eq_counted[i]:
+            self._eq_counted[i] = True
             COMPARISONS.add(len(self.indices))
-            cmp = (self._sub[i] == self._sub).astype(self._pow2.dtype)
-            row = cmp @ self._pow2
-            self._eq_rows[i] = row
-        return row
 
     def dom_row(self, i: int) -> list[int]:
         """Row ``dom[i, *]`` of the dominance matrix, as Python ints."""
@@ -228,7 +265,9 @@ class PairwiseMatrices:
         """
         if i in self._dom_rows and j in self._dom_rows:
             return self._full & ~self.dom(i, j) & ~self.dom(j, i)
-        return int(self.eq_row_array(i)[j])
+        self._count_eq_row(i)
+        cmp = (self._sub[i] == self._sub[j]).astype(self._pow2.dtype)
+        return int(cmp @ self._pow2)
 
     def as_dense(self) -> tuple[list[list[int]], list[list[int]]]:
         """Materialise both matrices (tests and small examples only)."""
@@ -236,3 +275,28 @@ class PairwiseMatrices:
         dom = [self.dom_row(i)[:] for i in range(k)]
         co = [[self.co(i, j) for j in range(k)] for i in range(k)]
         return dom, co
+
+
+def _equal_value_runs(sub: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort every column once and record each row's run of equal values.
+
+    Returns ``(order, lo, hi)``: ``order[dim]`` lists the rows in ascending
+    order of column ``dim``, and row ``i``'s equal-value run is
+    ``order[dim, lo[dim, i]:hi[dim, i]]``.  Equal values are contiguous
+    under any comparison sort, and ``!=`` between sorted neighbours finds
+    run boundaries with the same semantics as ``==`` (``-0.0 == 0.0``).
+    """
+    k, d = sub.shape
+    order = np.argsort(sub, axis=0, kind="stable").T.copy()
+    lo = np.empty((d, k), dtype=np.int64)
+    hi = np.empty((d, k), dtype=np.int64)
+    for dim in range(d):
+        ordered = sub[order[dim], dim]
+        new_run = np.ones(k, dtype=bool)
+        new_run[1:] = ordered[1:] != ordered[:-1]
+        starts = np.flatnonzero(new_run)
+        ends = np.append(starts[1:], k)
+        run_of = np.cumsum(new_run) - 1
+        lo[dim, order[dim]] = starts[run_of]
+        hi[dim, order[dim]] = ends[run_of]
+    return order, lo, hi

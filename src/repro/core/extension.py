@@ -48,7 +48,7 @@ from ..columnar.encoding import encode_dataset
 from ..columnar.engine import resolve_engine
 from ..obs.progress import ProgressTask, tick
 from ..parallel import chunk_ranges, get_shared, map_shards, resolve_parallel
-from .bitset import is_subset
+from .bitset import is_subset, popcount
 from .dominance import PairwiseMatrices
 from .hitting import minimal_hitting_sets
 from .seeds import SeedGroup, singleton_decisive
@@ -56,9 +56,18 @@ from .types import Dataset, SkylineGroup
 
 __all__ = ["extend_with_nonseeds", "share_and_beat_masks", "closed_masks"]
 
-#: ``auto`` engages the pool only above this many (group, non-seed) pairs;
-#: the share/beat broadcast is the dominant cost of the Theorem 5 pass.
+#: ``auto`` engages the pool only above this many (group, non-seed) pairs.
+#: The equal-value join does not visit every pair -- it probes each
+#: non-seed once per dimension and then touches only coinciding pairs --
+#: so this floor is a conservative size proxy that keeps small builds out
+#: of the pool.
 _PARALLEL_FLOOR = 1 << 20
+
+#: Byte budget of the pair arrays of one block of the equal-value join.
+#: Coinciding pairs are few on real data but O(groups x non-seeds x d) on
+#: degenerate data (a handful of distinct values), so the join walks the
+#: non-seeds in blocks whose pair arrays fit this budget.
+_JOIN_BLOCK_BYTES = 8 << 20
 
 
 def share_and_beat_masks(
@@ -108,11 +117,18 @@ def _share_maps_block(
 ) -> list[dict[int, int]]:
     """Share masks of the *relevant* non-seeds for every seed group.
 
-    One broadcast comparison handles a whole block of groups at once; the
-    per-group Python work is proportional to the number of relevant
-    non-seeds only, which keeps the Theorem 5 pass fast even with thousands
-    of seed groups.
+    A non-seed is relevant to a group only if it shares some dimension of
+    the group's ``B`` (``share ≠ ∅``), so the pass is an equal-value join
+    per dimension: the groups whose ``B`` holds dimension ``D`` are sorted
+    by their representative's value on ``D`` (the small side), and every
+    non-seed probes that column with ``searchsorted``.  Share and beat
+    masks are then computed only for the (group, non-seed) pairs the join
+    found, in blocks of at most :data:`_JOIN_BLOCK_BYTES` of pair arrays.
+    Work and memory follow the coincidences that exist, not
+    groups x non-seeds.
 
+    Keeps exactly the pairs the dense rule keeps
+    (:func:`share_and_beat_masks`: ``share ≠ ∅`` and ``beat = ∅``).
     ``ns_matrix``/``ns_ids`` may be any contiguous slice of the non-seeds
     (the parallel path shards along that axis); per-group dict keys come
     out in ascending ``ns_ids`` order either way.
@@ -122,26 +138,87 @@ def _share_maps_block(
     m, d = ns_matrix.shape
     if m == 0 or n_groups == 0:
         return share_maps
-    # Bound the (block, m, d) boolean temporaries to ~32 MB apiece.
-    block = max(1, min(n_groups, 32_000_000 // max(m * d, 1)))
-    for start in range(0, n_groups, block):
-        stop = min(start + block, n_groups)
-        blk_reps = reps[start:stop, :]  # (g, d)
-        eq = ns_matrix[None, :, :] == blk_reps[:, None, :]
-        lt = ns_matrix[None, :, :] < blk_reps[:, None, :]
-        share_blk = eq.astype(pow2.dtype) @ pow2
-        beat_blk = lt.astype(pow2.dtype) @ pow2
-        share_blk &= subspaces[start:stop, None]
-        beat_blk &= subspaces[start:stop, None]
-        relevant = (share_blk != 0) & (beat_blk == 0)
-        for gi in range(stop - start):
-            hits = np.flatnonzero(relevant[gi])
-            if hits.size:
-                row = share_blk[gi]
-                share_maps[start + gi] = {
-                    int(ns_ids[j]): int(row[j]) for j in hits
-                }
+    # Per dimension: the groups holding it, sorted by representative value,
+    # and each non-seed's run [lo, hi) of equal values in that order.
+    columns = []
+    counts = np.zeros(m, dtype=np.int64)
+    for dim in range(d):
+        holders = np.flatnonzero((subspaces >> dim) & 1)
+        if holders.size == 0:
+            continue
+        holders = holders[np.argsort(reps[holders, dim], kind="stable")]
+        values = reps[holders, dim]
+        lo = np.searchsorted(values, ns_matrix[:, dim], side="left")
+        hi = np.searchsorted(values, ns_matrix[:, dim], side="right")
+        counts += hi - lo
+        columns.append((holders, lo, hi))
+    # Index arrays, key sort and the (pairs, d) comparison temporaries.
+    pair_bytes = 64 + 32 * d
+    budget = max(1, _JOIN_BLOCK_BYTES // pair_bytes)
+    ends = np.cumsum(counts)
+    start = 0
+    while start < m:
+        before = int(ends[start - 1]) if start else 0
+        stop = int(np.searchsorted(ends, before + budget, side="right"))
+        stop = min(max(stop, start + 1), m)
+        if ends[stop - 1] > before:
+            _join_block(
+                columns,
+                start,
+                stop,
+                reps,
+                subspaces,
+                ns_matrix,
+                ns_ids,
+                pow2,
+                share_maps,
+            )
+        start = stop
     return share_maps
+
+
+def _join_block(
+    columns: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    start: int,
+    stop: int,
+    reps: np.ndarray,
+    subspaces: np.ndarray,
+    ns_matrix: np.ndarray,
+    ns_ids: np.ndarray,
+    pow2: np.ndarray,
+    share_maps: list[dict[int, int]],
+) -> None:
+    """Classify the coinciding pairs of non-seeds ``start:stop``."""
+    m = ns_matrix.shape[0]
+    keys = []
+    for holders, lo, hi in columns:
+        run = hi[start:stop] - lo[start:stop]
+        probes = np.flatnonzero(run) + start
+        if probes.size == 0:
+            continue
+        run = run[probes - start]
+        # Expand every probe's run [lo, hi) into one (group, non-seed) pair
+        # per holder in it.
+        offsets = np.arange(int(run.sum())) - np.repeat(np.cumsum(run) - run, run)
+        groups = holders[np.repeat(lo[probes], run) + offsets]
+        keys.append(groups * m + np.repeat(probes, run))
+    if not keys:
+        return
+    # A pair that coincides on several dimensions appears once per
+    # dimension; unique keys are sorted by group, then non-seed.
+    pairs = np.unique(np.concatenate(keys))
+    group_of = pairs // m
+    ns_of = pairs - group_of * m
+    rep_rows = reps[group_of]
+    ns_rows = ns_matrix[ns_of]
+    within = subspaces[group_of]
+    beat = ((ns_rows < rep_rows).astype(pow2.dtype) @ pow2) & within
+    keep = beat == 0
+    share = ((ns_rows[keep] == rep_rows[keep]).astype(pow2.dtype) @ pow2) & within[keep]
+    for gi, obj, mask in zip(
+        group_of[keep].tolist(), ns_ids[ns_of[keep]].tolist(), share.tolist()
+    ):
+        share_maps[gi][obj] = mask
 
 
 def _share_map_shard(bounds: tuple[int, int]) -> list[dict[int, int]]:
@@ -163,9 +240,9 @@ def _batched_share_maps(
 ) -> list[dict[int, int]]:
     """Share maps for every seed group, sharding non-seeds across workers.
 
-    Non-seed objects are folded in independently (Theorem 5), so the rows
-    of the share/beat broadcast split freely: each worker classifies one
-    contiguous slice of the non-seeds against *all* groups and the partial
+    Non-seed objects are folded in independently (Theorem 5), so the
+    equal-value join splits freely: each worker joins one contiguous
+    slice of the non-seeds against *all* groups and the partial
     per-group dicts merge by union.  Shards are ascending disjoint ranges
     merged in shard order, so every per-group dict has exactly the serial
     key order and the downstream decisive-subspace bindings are
@@ -216,7 +293,7 @@ def extend_with_nonseeds(
     as global indices and projections in raw (user-facing) values.
 
     ``engine="columnar"`` (or the ambient/env engine) runs the share/beat
-    broadcasts over the dense-rank int codes instead of floats; masks and
+    join over the dense-rank int codes instead of floats; masks and
     groups are bit-identical either way (the encoding preserves ``<`` and
     ``==`` per column).  Falls back to rows beyond 62 dimensions.
     """
@@ -249,6 +326,21 @@ def extend_with_nonseeds(
         rep_local = seed_group.representative
         subspace = seed_group.subspace
 
+        if not shares:
+            # No relevant non-seed: the clause family is the seed lattice's
+            # own, so the group and its decisive subspaces stand as they
+            # are (listed in minimal_hitting_sets' size-then-value order).
+            group = SkylineGroup(
+                members=frozenset(seed_group.members),
+                subspace=subspace,
+                decisive=tuple(
+                    sorted(seed_group.decisive, key=lambda c: (popcount(c), c))
+                ),
+                projection=dataset.projection(rep_global, subspace),
+            )
+            results.setdefault(group.key, group)
+            continue
+
         outside = np.ones(k, dtype=bool)
         outside[list(seed_group.local_members)] = False
         clause_arr = matrices.dom_row_array(rep_local)[outside] & subspace
@@ -267,9 +359,12 @@ def extend_with_nonseeds(
         results.setdefault(group.key, group)
 
         # --- child groups at the closed share masks ---------------------
-        if not shares:
-            continue
-        eq_outside = matrices.eq_row_array(rep_local)[outside]
+        members_local = set(seed_group.local_members)
+        co_outside = [
+            m
+            for o, m in matrices.coincident_neighbours(rep_local).items()
+            if o not in members_local
+        ]
         for child_space in closed_masks(list(shares.values())):
             if child_space == subspace:
                 continue
@@ -278,7 +373,7 @@ def extend_with_nonseeds(
                 # outside seed is unbeaten there, so the projection is not
                 # exclusively skyline anywhere below (Theorem 5 condition).
                 continue
-            if bool(((eq_outside & child_space) == child_space).any()):
+            if any(m & child_space == child_space for m in co_outside):
                 # Another seed coincides on the whole child subspace: this
                 # child is generated from that larger seed parent instead.
                 continue

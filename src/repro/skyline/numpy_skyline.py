@@ -2,10 +2,12 @@
 
 The algorithm is SFS (sort by the monotone coordinate sum, then one filtered
 scan), with the scan organised in *chunks*: each chunk of candidates is
-first filtered against the accepted-skyline window with one broadcast
-comparison, and only the survivors go through the short serial pass that
-resolves intra-chunk dominance.  This keeps the Python interpreter out of
-the inner loop without changing the algorithm's comparison semantics.
+first filtered against the accepted-skyline window with a few
+column-wise ``(chunk, window)`` comparisons, and only the survivors go
+through the short serial pass that resolves intra-chunk dominance (each
+survivor tested against the chunk's rows accepted before it).  This keeps
+the Python interpreter out of the inner loop without changing the
+algorithm's comparison semantics.
 
 Correctness of chunking rests on the SFS invariant: under a monotone sort
 key a candidate can only be dominated by objects *earlier* in the order,
@@ -30,9 +32,9 @@ from .sfs import monotone_order
 
 __all__ = ["skyline_numpy", "chunked_sorted_skyline"]
 
-#: Candidates filtered per broadcast; keeps the comparison blocks in cache.
+#: Candidates filtered per window pass; keeps the comparison blocks in cache.
 _CHUNK = 512
-#: Window rows compared per broadcast (bounds temporary memory).
+#: Window rows compared per pass (bounds temporary memory).
 _WINDOW_BLOCK = 4096
 
 
@@ -40,37 +42,56 @@ def chunked_sorted_skyline(ordered: np.ndarray, chunk: int = _CHUNK) -> list[int
     """Skyline positions of a matrix already sorted by a monotone key.
 
     Returns positions *into the sorted matrix*, in increasing order.
+
+    The window filter builds its ``(chunk, window)`` no-worse and
+    strictly-better masks one column at a time, so no reduction ever runs
+    over the short length-``d`` axis.  The window is kept column-major for
+    the same reason.
     """
     n, d = ordered.shape
-    window = np.empty((0, d), dtype=ordered.dtype)
+    columns = np.ascontiguousarray(ordered.T)
+    window = np.empty((d, n), dtype=ordered.dtype)
+    size = 0
     accepted: list[int] = []
     for start in range(0, n, chunk):
         block = ordered[start : start + chunk]
+        cols = columns[:, start : start + chunk]
         c = block.shape[0]
         alive = np.ones(c, dtype=bool)
-        for ws in range(0, window.shape[0], _WINDOW_BLOCK):
-            wblock = window[ws : ws + _WINDOW_BLOCK]
-            COMPARISONS.add(c * wblock.shape[0])
-            le = np.all(wblock[None, :, :] <= block[:, None, :], axis=2)
-            lt = np.any(wblock[None, :, :] < block[:, None, :], axis=2)
-            alive &= ~np.any(le & lt, axis=1)
+        for ws in range(0, size, _WINDOW_BLOCK):
+            we = min(ws + _WINDOW_BLOCK, size)
+            COMPARISONS.add(c * (we - ws))
+            le = np.ones((c, we - ws), dtype=bool)
+            lt = np.zeros((c, we - ws), dtype=bool)
+            for dim in range(d):
+                w_col = window[dim, None, ws:we]
+                b_col = cols[dim, :, None]
+                le &= w_col <= b_col
+                lt |= w_col < b_col
+            le &= lt
+            alive &= ~le.any(axis=1)
             if not alive.any():
                 break
+        # Each alive candidate is tested against the rows of its own chunk
+        # accepted so far (kept contiguous in `kept`), nothing more.
         block_accepted: list[int] = []
-        for i in np.flatnonzero(alive):
+        kept = np.empty_like(block)
+        for i in np.flatnonzero(alive).tolist():
             candidate = block[i]
             if block_accepted:
-                COMPARISONS.add(len(block_accepted))
-                prior = block[block_accepted]
-                no_worse = np.all(prior <= candidate, axis=1)
-                if bool(no_worse.any()) and bool(
-                    np.any(prior[no_worse] < candidate, axis=1).any()
-                ):
+                na = len(block_accepted)
+                COMPARISONS.add(na)
+                prior = kept[:na]
+                no_worse = (prior <= candidate).all(axis=1)
+                if no_worse.any() and (prior[no_worse] != candidate).any():
                     continue
-            block_accepted.append(int(i))
-            accepted.append(start + int(i))
+            kept[len(block_accepted)] = candidate
+            block_accepted.append(i)
+            accepted.append(start + i)
         if block_accepted:
-            window = np.vstack([window, block[block_accepted]])
+            added = len(block_accepted)
+            window[:, size : size + added] = cols[:, block_accepted]
+            size += added
     return accepted
 
 

@@ -1,10 +1,22 @@
 """Tests for the non-seed accommodation step (Theorem 5)."""
 
-import numpy as np
+import tracemalloc
 
-from repro.core.extension import closed_masks, share_and_beat_masks
+import numpy as np
+import pytest
+
+from repro.core.cgroups import enumerate_maximal_cgroups
+from repro.core.dominance import PairwiseMatrices
+from repro.core.extension import (
+    closed_masks,
+    extend_with_nonseeds,
+    share_and_beat_masks,
+)
+from repro.core.seeds import compute_seed_groups
 from repro.core.stellar import stellar
 from repro.core.types import Dataset
+from repro.data.generators import make_dataset
+from repro.skyline import compute_skyline
 
 
 class TestClosedMasks:
@@ -136,3 +148,31 @@ class TestDuplicateObjects:
         )
         assert group is not None
         assert group.members == frozenset({0, 1, 2})
+
+
+class TestAllocationGuard:
+    """The Theorem 5 pass allocates in proportion to the value coincidences
+    between groups and non-seeds, not to groups x non-seeds x d.  A dense
+    (groups, non-seeds, d) broadcast peaks above 400 MiB on both shapes;
+    numpy reports its buffers to tracemalloc, so the traced peak sees it."""
+
+    LIMIT = 32 * 2**20
+
+    @pytest.mark.parametrize(
+        "distribution, n",
+        [("independent", 40_000), ("anticorrelated", 10_000)],
+    )
+    def test_traced_peak_is_bounded(self, distribution, n):
+        ds = make_dataset(distribution, n, 4, seed=1)
+        matrices = PairwiseMatrices(ds, compute_skyline(ds))
+        seed_groups = compute_seed_groups(
+            ds, matrices, enumerate_maximal_cgroups(matrices)
+        )
+        tracemalloc.start()
+        try:
+            groups = extend_with_nonseeds(ds, matrices, seed_groups)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(groups) >= len(seed_groups)
+        assert peak < self.LIMIT, f"traced peak {peak / 2**20:.1f} MiB"
